@@ -12,6 +12,12 @@ This file provides the parameter selection (minimizing the new palette
 q² over the degree d) and the per-vertex reduction step.  Correctness is
 *one-sided*: a vertex only needs its out-neighbors' colors, which is what
 lets the AMPC wrapper simulate many rounds in one ball collection.
+
+Production rounds do not call :meth:`CoverFreeFamily.reduce_color`:
+:mod:`repro.coloring.arb_linial` evaluates every vertex's polynomial at
+once as an array Horner pass over the must-differ edges.  The per-vertex
+step stays as the building block of the oracles in
+:mod:`repro.coloring.reference`, which must pick the same point.
 """
 
 from __future__ import annotations

@@ -7,11 +7,20 @@ lower half (a vertex has <= Δ neighbors, the lower half has Δ+1 colors, so
 a free one always exists); then renumber the surviving lower halves
 consecutively, halving the palette.  Blocks act in parallel because their
 color ranges are disjoint.
+
+Each phase is one array step over the whole graph: gather the CSR rows of
+the vertices at the phase's upper offset, mark the lower-half colors
+their neighbors hold in a ``(k, Δ+1)`` boolean matrix, and take each
+row's first free column with ``argmin``.  Renumbering is array
+arithmetic.  The seed per-vertex loop is kept in
+:mod:`repro.coloring.reference` as the differential oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.graphs.graph import Graph
 
@@ -38,41 +47,59 @@ def kw_color_reduction(
     ``max_degree`` must upper-bound every vertex degree in ``graph``.
     """
     delta_plus_1 = max_degree + 1
-    colors = list(colors)
-    m = palette if palette is not None else (max(colors, default=0) + 1)
-    if any(not 0 <= c < m for c in colors):
+    colors = np.array(colors, dtype=np.int64)
+    if palette is not None:
+        m = palette
+    else:
+        m = int(colors.max()) + 1 if colors.size else 1
+    if ((colors < 0) | (colors >= m)).any():
         raise ValueError("colors outside declared palette")
     rounds = 0
     while m > delta_plus_1:
         block = 2 * delta_plus_1
-        # Phase: for upper-half offset j, all vertices whose color sits at
-        # upper position j of its block recolor into the block's lower half.
+        # Phase j: every vertex whose color sits at upper position j of its
+        # block recolors into the block's lower half.  A vertex only moves
+        # once per pass, so the phases' vertex sets are fixed up front.
+        offset = colors % block
+        upper = np.flatnonzero(offset >= delta_plus_1)
+        by_phase = upper[np.argsort(offset[upper], kind="stable")]
+        sizes = np.bincount(offset[upper] - delta_plus_1, minlength=delta_plus_1)
+        ends = np.cumsum(sizes)
         for j in range(delta_plus_1):
-            new_colors = list(colors)
-            for v in graph.vertices():
-                c = colors[v]
-                base = (c // block) * block
-                if c - base == delta_plus_1 + j:
-                    taken = {
-                        colors[int(w)]
-                        for w in graph.neighbors(v)
-                        if base <= colors[int(w)] < base + delta_plus_1
-                    }
-                    for candidate in range(base, base + delta_plus_1):
-                        if candidate not in taken:
-                            new_colors[v] = candidate
-                            break
-                    else:  # pragma: no cover - impossible by pigeonhole
-                        raise AssertionError("no free color in lower half")
-            colors = new_colors
-            rounds += 1
+            movers = by_phase[ends[j] - sizes[j]: ends[j]]
+            if movers.size:
+                colors[movers] = _first_free(
+                    graph, colors, movers, colors[movers] - (delta_plus_1 + j),
+                    delta_plus_1,
+                )
+        rounds += delta_plus_1
         # Renumber: block b's lower half [b*block, b*block + Δ+1) maps to
         # [b*(Δ+1), (b+1)*(Δ+1)).  Free (local arithmetic, no round).
-        colors = [
-            (c // block) * delta_plus_1 + (c % block) for c in colors
-        ]
-        num_blocks = -(-m // block)
-        m = num_blocks * delta_plus_1
-        if num_blocks == 1:
-            m = min(m, delta_plus_1)
-    return KWResult(colors=colors, num_colors=m, local_rounds=rounds)
+        colors = (colors // block) * delta_plus_1 + colors % block
+        m = -(-m // block) * delta_plus_1
+    return KWResult(colors=colors.tolist(), num_colors=m, local_rounds=rounds)
+
+
+def _first_free(
+    graph: Graph,
+    colors: np.ndarray,
+    movers: np.ndarray,
+    bases: np.ndarray,
+    width: int,
+) -> np.ndarray:
+    """Smallest color in ``[base, base + width)`` no neighbor holds, per mover.
+
+    Gathers the movers' CSR rows, marks the lower-half colors their
+    neighbors use in a ``(k, width)`` boolean matrix and takes the first
+    free column of each row.
+    """
+    neighbors, boundaries = graph.neighbors_of(movers)
+    row = np.repeat(np.arange(movers.size), np.diff(boundaries))
+    rel = colors[neighbors] - bases[row]
+    hit = (rel >= 0) & (rel < width)
+    taken = np.zeros((movers.size, width), dtype=bool)
+    taken[row[hit], rel[hit]] = True
+    free = taken.argmin(axis=1)
+    if taken[np.arange(movers.size), free].any():
+        raise AssertionError("no free color in lower half")
+    return bases + free

@@ -8,10 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coloring import arb_linial
 from repro.coloring.arb_linial import (
     ampc_rounds_for_simulation,
     arb_linial_coloring,
     linial_undirected_coloring,
+)
+from repro.coloring.cover_free import CoverFreeFamily
+from repro.coloring.reference import (
+    reference_arb_linial_coloring,
+    reference_linial_undirected_coloring,
 )
 from repro.core.orientation import orient_by_partition
 from repro.graphs.generators import (
@@ -36,6 +42,7 @@ class TestArbLinial:
     def test_proper_and_quadratic_palette(self, seed, alpha):
         g, beta, ori = _setup(alpha, seed)
         res = arb_linial_coloring(ori, beta)
+        assert res == reference_arb_linial_coloring(ori, beta)
         assert is_proper_coloring(g, res.colors)
         assert all(0 <= c < res.num_colors for c in res.colors)
         # O(beta^2): the final palette is q^2 with q = O(beta).
@@ -48,8 +55,9 @@ class TestArbLinial:
 
     def test_rejects_under_reported_beta(self):
         g, beta, ori = _setup(2, seed=2)
-        with pytest.raises(ValueError):
-            arb_linial_coloring(ori, 1)
+        for fn in (arb_linial_coloring, reference_arb_linial_coloring):
+            with pytest.raises(ValueError):
+                fn(ori, 1)
 
     def test_initial_colors_respected(self):
         g, beta, ori = _setup(1, seed=3)
@@ -91,10 +99,33 @@ class TestLinialUndirected:
         res = linial_undirected_coloring(g, 0)
         assert res.colors == [0] * 5
 
+    def test_invalid_initial_colors_rejected(self):
+        # 7 and 9 lie outside the declared palette of 4, -1 outside any
+        # palette; with no round to run they would come back as the result.
+        g = cycle_graph(6)
+        for colors, palette in (([7, 9, 7, 9, 7, 9], 4), ([0, 1, 0, 1, 0, -1], None)):
+            with pytest.raises(ValueError, match="outside declared palette"):
+                linial_undirected_coloring(
+                    g, 2, initial_colors=colors, initial_palette=palette
+                )
+
+    def test_field_size_overflowing_int64_rejected(self, monkeypatch):
+        # The kernel computes a*q + p(a) in int64, so q*q must fit.
+        def huge(m, beta, max_degree=64):
+            return CoverFreeFamily(q=2**32 + 15, d=1, source_colors=m)
+
+        monkeypatch.setattr(arb_linial, "choose_family", huge)
+        g = cycle_graph(6)
+        with pytest.raises(ValueError, match="overflows int64"):
+            linial_undirected_coloring(
+                g, 2, initial_colors=[0, 1, 0, 1, 0, 1], initial_palette=2**70
+            )
+
     def test_quadratic_palette(self):
         g = union_of_random_forests(150, 2, seed=6)
         delta = g.max_degree()
         res = linial_undirected_coloring(g, delta)
+        assert res == reference_linial_undirected_coloring(g, delta)
         assert is_proper_coloring(g, res.colors)
         assert res.num_colors <= 16 * (delta + 1) ** 2
 

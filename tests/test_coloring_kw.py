@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.coloring.kuhn_wattenhofer import kw_color_reduction
 from repro.coloring.greedy import greedy_coloring
+from repro.coloring.reference import reference_kw_color_reduction
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -42,8 +43,10 @@ class TestKWReduction:
 
     def test_invalid_colors_rejected(self):
         g = path_graph(3)
-        with pytest.raises(ValueError):
-            kw_color_reduction(g, [0, 5, 1], max_degree=2, palette=3)
+        for colors, palette in (([0, 5, 1], 3), ([0, 1, -1], None)):
+            for fn in (kw_color_reduction, reference_kw_color_reduction):
+                with pytest.raises(ValueError):
+                    fn(g, colors, max_degree=2, palette=palette)
 
     def test_round_bound(self):
         # O(Delta * log(m / Delta)) rounds.
@@ -61,6 +64,7 @@ class TestKWReduction:
         g = random_gnm(50, 90, seed=seed)
         delta = g.max_degree()
         res = kw_color_reduction(g, list(range(50)), max_degree=delta)
+        assert res == reference_kw_color_reduction(g, list(range(50)), max_degree=delta)
         assert is_proper_coloring(g, res.colors)
         assert res.num_colors <= delta + 1
 

@@ -30,9 +30,7 @@ Run as a script to (re)generate the tracked ``BENCH_ampc.json``::
         --phases --out BENCH_ampc.json
 
 or with ``--quick`` for a CI-sized configuration.  ``--phases`` records
-the lca rounds' per-phase wall clock (explore / forward / fold / cache)
-and the incremental-replay reuse counters (replayed/fresh waves and
-entries, redo games, cone fraction) land in the lca block either way.
+the lca rounds' per-phase wall clock (explore / forward / fold).
 ``--check-regression BENCH_ampc.json`` compares the current run against
 the tracked baseline and fails (exit 2) if the lca columnar time
 regressed by more than 25% or if any single phase regressed by more
@@ -86,7 +84,6 @@ from repro.ampc.engine_config import EngineConfig
 from repro.ampc.faults import FaultPlan
 from repro.ampc.pool import close_shared_pools
 from repro.core import native
-from repro.core.batched_games import replay_cone_fraction
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.graphs.generators import random_gnm
 
@@ -100,7 +97,7 @@ QUICK_WORKER_SWEEP = (1, 2, 4)
 # A quick-config lca run may regress this much against the tracked
 # baseline (after dict-normalization) before --check-regression fails.
 MAX_REGRESSION = 0.25
-# Any single lca phase (explore / forward / fold / cache) may regress
+# Any single lca phase (explore / forward / fold) may regress
 # this much (dict-normalized) before the guard fails; phases below
 # MIN_PHASE_SHARE of the columnar total — or below MIN_PHASE_SECONDS
 # of absolute wall clock, where min-of-3 timing cannot resolve a 40%
@@ -267,14 +264,6 @@ def bench_mode(
             report["engine_speedup_compiled"] = round(
                 columnar_s / compiled_s, 2
             )
-        # Incremental-replay reuse, summed over the run's lca rounds.
-        totals: dict = {}
-        for reuse in columnar.round_reuse:
-            for key, value in reuse.items():
-                if isinstance(value, int):
-                    totals[key] = totals.get(key, 0) + value
-        totals["cone_fraction"] = replay_cone_fraction(totals)
-        report["replay"] = totals
     if mode == "lca":
         # One sharded-fabric leg: same partition, plus the communication
         # and memory counters the S-budget regression guard reads.  The
@@ -765,7 +754,7 @@ def main() -> None:
     parser.add_argument("--quick", action="store_true", help="CI-sized config")
     parser.add_argument(
         "--phases", action="store_true",
-        help="record per-phase lca wall clock (explore/forward/fold/cache)",
+        help="record per-phase lca wall clock (explore/forward/fold)",
     )
     parser.add_argument("--out", default=None, help="write JSON here")
     parser.add_argument(

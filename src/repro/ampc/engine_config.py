@@ -1,19 +1,19 @@
 """Tunable engine knobs as one explicit, env-overridable configuration.
 
-The scenario sweeps in ROADMAP want to tune dispatch cutoffs, cohort
-sizes, and the adaptive-replay gate without editing source.  The knobs
-keep living as module constants next to the code they tune
+Scenario sweeps tune dispatch cutoffs, cohort sizes, fabric budgets
+and the pool supervisor without editing source.  The knobs keep living
+as module constants next to the code they tune
 (:data:`repro.core.columnar_rounds.COHORT_GAMES`,
 :data:`repro.ampc.pool.MIN_POOL_GAMES` /
 :data:`~repro.ampc.pool.MIN_POOL_GAMES_BATCHED`,
-:data:`repro.core.batched_games.REPLAY_CONE_CUTOFF` /
-:data:`~repro.core.batched_games.REPLAY_POOR_STREAK`) — tests monkeypatch
-them there, and they document themselves in context — but every run of
+:data:`repro.ampc.messaging.MESSAGE_CAP_WORDS`, the supervisor constants
+in :mod:`repro.ampc.pool`) — tests monkeypatch them there, and they
+document themselves in context — but every run of
 :func:`repro.core.beta_partition_ampc.beta_partition_ampc` snapshots
 them into one frozen :class:`EngineConfig` via :meth:`EngineConfig.from_env`,
 applying ``REPRO_*`` environment overrides on top.  The config then
 threads explicitly through the round kernel, the process pool (one
-picklable value per shard payload), the batched engine, and the message
+picklable value per shard payload), the cohort loop, and the message
 fabric, so every layer of one run agrees on the same knob values.
 
 All knobs are pure throughput/memory-policy levers: no observable
@@ -89,8 +89,6 @@ class EngineConfig:
     cohort_games: int
     min_pool_games: int
     min_pool_games_batched: int
-    replay_cone_cutoff: float
-    replay_poor_streak: int
     message_cap_words: int
     shard_budget_words: int | None = None
     ghost_cache_words: int = 0
@@ -131,7 +129,7 @@ class EngineConfig:
         # Imported lazily: repro.core imports repro.ampc, so a top-level
         # import back into core would be cyclic.
         from repro.ampc import messaging, pool
-        from repro.core import batched_games, columnar_rounds
+        from repro.core import columnar_rounds
 
         if env is None:
             env = os.environ
@@ -150,14 +148,6 @@ class EngineConfig:
             ),
             min_pool_games_batched=get(
                 "REPRO_MIN_POOL_GAMES_BATCHED", pool.MIN_POOL_GAMES_BATCHED,
-                _env_int, 1,
-            ),
-            replay_cone_cutoff=get(
-                "REPRO_REPLAY_CONE_CUTOFF", batched_games.REPLAY_CONE_CUTOFF,
-                _env_float, 0.0, 1.0,
-            ),
-            replay_poor_streak=get(
-                "REPRO_REPLAY_POOR_STREAK", batched_games.REPLAY_POOR_STREAK,
                 _env_int, 1,
             ),
             message_cap_words=get(

@@ -56,9 +56,7 @@ are surfaced through the ``comm`` dict and
     and forward one folded ``(u, min, count)`` triple per vertex to the
     driver's DDS merge.
 ``result``
-    Shard → driver, end of round: per-game ``(reads, writes)`` charges
-    and (when the driver's cross-round cache is recording) the game
-    record tuples.
+    Shard → driver, end of round: per-game ``(reads, writes)`` charges.
 ``retirement``
     Driver → shards, at the round boundary: the vertices assigned this
     round.  Each shard drops its retired owned rows and prunes retired
@@ -76,10 +74,10 @@ associative with identity (``∞`` / ``0``), so the owner-side fold is
 independent of arrival order, and the owner→driver triples scatter into
 the same ``np.minimum.at`` / ``np.add.at`` accumulators the serial
 kernel uses.  Per-game charges scatter by machine position
-(position-disjoint across shards), and records key by root (one writer
-each).  Hence every observable — partitions, layers, probe counts,
-per-round stats, store words — is bit-identical to the shared-memory
-path for any shard count, which the differential tests assert.
+(position-disjoint across shards).  Hence every observable —
+partitions, layers, probe counts, per-round stats, store words — is
+bit-identical to the shared-memory path for any shard count, which the
+differential tests assert.
 
 Game execution and exactness
 ----------------------------
@@ -98,7 +96,7 @@ batched engine runs on an order-preserving compaction of the held rows
 (global ids → ranks; every order-dependent tie-break is preserved under
 a monotone remap, so committed transcripts map back exactly), closed
 with synthetic reverse rows for fringe vertices so its transpose-based
-replay arena stays well-formed — synthetic rows are only ever read by
+row arena stays well-formed — synthetic rows are only ever read by
 games that explored a fringe vertex, i.e. games that are discarded.
 
 Ghost-fringe invalidation rules
@@ -186,9 +184,9 @@ Observable state stays honest on both sides of the process boundary:
   the pool stays healthy.
 - **Folds stay commutative across workers.**  The driver-side merge
   of shard results is the same min/+ fold as ever — ``min`` and ``+``
-  are commutative and associative, per-game charges are
-  position-disjoint, and records key by root — so worker completion
-  order (racy by nature) cannot perturb any observable.
+  are commutative and associative and per-game charges are
+  position-disjoint — so worker completion order (racy by nature)
+  cannot perturb any observable.
 
 Retry safety (the supervisor's failure contract)
 ------------------------------------------------
@@ -836,27 +834,23 @@ class _ShardRound:
 
     def __init__(
         self, shard: _Shard, roots: np.ndarray, positions: np.ndarray,
-        engine: str, want_records: bool = True,
+        engine: str,
     ) -> None:
         self.shard = shard
         self.roots = roots
         self.positions = positions
         self.engine = engine
-        self.want_records = want_records
         g = len(roots)
         self.valid = np.zeros(g, dtype=bool)
         self.reads = np.zeros(g, dtype=np.int64)
         self.writes = np.zeros(g, dtype=np.int64)
         self.ball_words = np.zeros(g, dtype=np.int64)
-        self.records: list = [None] * g
         # Columnar (proof_u, proof_l) per committed game: the layer
-        # fold consumes these arrays directly, so the per-pair python
-        # record tuples are built only when a caller wants transcripts.
+        # fold consumes these arrays directly.
         self.proof_cols: list = [None] * g
         self.missing: list[np.ndarray] = [_EMPTY] * g
         self.fetched: list[list[np.ndarray]] = [[] for __ in range(g)]
         self.spec_pins: list[np.ndarray] = []
-        self.replay_stats: dict = {}
         self.ejected_games = 0
         # Incremental local CSR (built lazily on the first play; see
         # _build_local / _advance_local) and its phase timings.
@@ -951,14 +945,13 @@ class _ShardRound:
         self.play_s += (time.perf_counter() - t0) - (self.compact_s - c0)
 
     def _commit(
-        self, i: int, reads: int, writes: int, record: tuple | None,
-        ball_words: int, ejected: bool, proof_cols: tuple | None = None,
+        self, i: int, reads: int, writes: int, ball_words: int,
+        ejected: bool, proof_cols: tuple[np.ndarray, np.ndarray],
     ) -> None:
         self.valid[i] = True
         self.missing[i] = _EMPTY
         self.reads[i] = reads
         self.writes[i] = writes
-        self.records[i] = record
         self.proof_cols[i] = proof_cols
         self.ball_words[i] = ball_words
         if ejected:
@@ -967,36 +960,20 @@ class _ShardRound:
     def proof_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Locally folded layer proposals: ``(vertices, minima, counts)``.
 
-        Engine paths commit columnar (proof_u, proof_l) arrays and
-        concatenate for free; scalar-path games (including ejected
-        replays) fall back to flattening their record tuples — the same
-        pairs either way.  The game shard then combines its own pairs
-        per vertex (min layer, proposal count) before they are routed
-        to vertex owners — the standard combiner: the owner-side fold
+        Every committed game left columnar (proof_u, proof_l) arrays;
+        the game shard combines its own pairs per vertex (min layer,
+        proposal count) before they are routed to vertex owners — the
+        standard combiner: the owner-side fold
         is min-of-mins and sum-of-counts, so the result is identical
         while each shard forwards one triple per distinct vertex
         instead of one pair per proposal.
         """
-        parts_u: list[np.ndarray] = []
-        parts_l: list[np.ndarray] = []
-        for i, cols in enumerate(self.proof_cols):
-            if cols is not None:
-                parts_u.append(cols[0])
-                parts_l.append(cols[1])
-                continue
-            record = self.records[i]
-            if record is None:
-                continue
-            proof = record[1]
-            parts_u.append(np.fromiter(
-                (u for u, __ in proof), dtype=np.int64, count=len(proof)
-            ))
-            parts_l.append(np.fromiter(
-                (lay for __, lay in proof), dtype=np.int64, count=len(proof)
-            ))
-        if not parts_u:
+        parts_u = [c[0] for c in self.proof_cols if c is not None]
+        parts_l = [c[1] for c in self.proof_cols if c is not None]
+        pu = np.concatenate(parts_u) if parts_u else _EMPTY
+        if not pu.size:
+            # No committed game proved anything (every proof clipped).
             return _EMPTY, _EMPTY, _EMPTY
-        pu = np.concatenate(parts_u)
         pl = np.concatenate(parts_l)
         # Layers are tiny non-negative ints, so one encoded int64 key
         # sorts (vertex, layer) in a single in-place pass — same
@@ -1179,7 +1156,7 @@ class _ShardRound:
         # held) need local rows too.  The two engines want different
         # ones:
         #
-        # * The python batched engine patches forwarding records through
+        # * The python batched engine patches its row arena through
         #   a transpose-position map that assumes every edge's reverse
         #   exists, so fringe rows must hold synthetic reverse edges.
         #   Only a game that explores a fringe vertex can read one — and
@@ -1264,9 +1241,7 @@ class _ShardRound:
                 horizon=params["horizon"], scale=params["scale"],
                 out_layer=out_layer, out_count=out_count,
                 want_records=True, transpose_pos=transpose,
-                replay_stats=self.replay_stats, arena_hint=arena_hint,
-                cone_cutoff=config.replay_cone_cutoff,
-                poor_streak=config.replay_poor_streak,
+                arena_hint=arena_hint,
                 **({"raw_records": True} if raw else {}),
             )
             reads[start:stop] = info.reads
@@ -1276,18 +1251,16 @@ class _ShardRound:
                 records[start:stop] = info.records
                 continue
             # Raw flat records: remap ids and split valid from invalid
-            # games in whole-cohort array ops, then build python record
-            # tuples only for the games that actually commit — an
-            # optimistic wave discards most of its plays as invalid, and
-            # marshalling their transcripts one list element at a time
-            # was the fabric's single largest driver cost.
+            # games in whole-cohort array ops — an optimistic wave
+            # discards most of its plays as invalid, and marshalling
+            # their transcripts one list element at a time was the
+            # fabric's single largest driver cost.
             mem_f, pu_f, pl_f, mem_counts, proof_counts = info.records
             mem_ends = np.cumsum(mem_counts)
             proof_ends = np.cumsum(proof_counts)
             mem_g = universe[mem_f]
             pu_g = universe[pu_f]
             pl_g = np.asarray(pl_f, dtype=np.int64)
-            pl_list = pl_g.tolist() if self.want_records else None
             bad = ~held[mem_f]
             bad_cum = np.zeros(len(bad) + 1, dtype=np.int64)
             np.cumsum(bad, out=bad_cum[1:])
@@ -1310,22 +1283,14 @@ class _ShardRound:
                     seg = mem_g[mo:me]
                     self.missing[i] = seg[bad[mo:me]]
                 else:
-                    r = int(reads[start + jj])
-                    w = int(writes[start + jj])
-                    rec = None
-                    if self.want_records:
-                        proof_g = list(
-                            zip(pu_g[po:pe].tolist(), pl_list[po:pe])
-                        )
-                        rec = (mem_g[mo:me].tolist(), proof_g, r, w)
                     # Real words of the held ball: one degree word plus
                     # the row targets per explored vertex — identically
                     # the game's probe charge, so strict-budget parity
                     # is checked against what a shard genuinely held.
                     ball = (me - mo) + int(ball_cum[me] - ball_cum[mo])
                     self._commit(
-                        i, r, w, rec, ball, False,
-                        proof_cols=(pu_g[po:pe], pl_g[po:pe]),
+                        i, int(reads[start + jj]), int(writes[start + jj]),
+                        ball, False, (pu_g[po:pe], pl_g[po:pe]),
                     )
                 mo, po = me, pe
         if ejected:
@@ -1341,28 +1306,12 @@ class _ShardRound:
                     # Unsorted is fine (see the raw path above).
                     self.missing[i] = universe[miss]
                     continue
-                explored_g = universe[explored_l]
-                proof = record[1]
-                pu_arr = universe[np.fromiter(
-                    (u for u, __ in proof), dtype=np.int64, count=len(proof)
-                )]
-                pl_arr = np.fromiter(
-                    (lay for __, lay in proof), dtype=np.int64,
-                    count=len(proof),
-                )
-                rec = None
-                if self.want_records:
-                    proof_g = [
-                        (v, lay)
-                        for v, (__, lay) in zip(pu_arr.tolist(), proof)
-                    ]
-                    rec = (explored_g.tolist(), proof_g,
-                           int(reads[j]), int(writes[j]))
+                pu_l, pl_arr = _proof_cols(record[1])
                 # Real words of the held ball (see the raw path above).
                 ball = len(explored_l) + int(deg_held[explored_l].sum())
                 self._commit(
-                    i, int(reads[j]), int(writes[j]), rec, ball, False,
-                    proof_cols=(pu_arr, pl_arr),
+                    i, int(reads[j]), int(writes[j]), ball, False,
+                    (universe[pu_l], pl_arr),
                 )
 
         # Ejected games replay through the scalar interpreter — but on
@@ -1396,7 +1345,7 @@ class _ShardRound:
                     ))
                     continue
                 ball = len(record[0]) + sum(len(adj[u]) for u in record[0])
-                self._commit(i, r, w, record, ball, True)
+                self._commit(i, r, w, ball, True, _proof_cols(record[1]))
             shard.guard.account(
                 "game_scratch",
                 (u_count + 1) + 2 * len(targets_l) + 3 * u_count
@@ -1424,9 +1373,21 @@ class _ShardRound:
                 ))
                 continue
             ball = len(record[0]) + sum(len(adj[u]) for u in record[0])
-            self._commit(i, reads, writes, record, ball, False)
+            self._commit(
+                i, reads, writes, ball, False, _proof_cols(record[1])
+            )
         shard.guard.account("game_scratch", adj.cached_words())
         shard.guard.release("game_scratch")
+
+
+def _proof_cols(proof: list) -> tuple[np.ndarray, np.ndarray]:
+    """A scalar game record's ``[(u, layer), ...]`` proof as two arrays."""
+    return (
+        np.fromiter((u for u, __ in proof), dtype=np.int64, count=len(proof)),
+        np.fromiter(
+            (lay for __, lay in proof), dtype=np.int64, count=len(proof)
+        ),
+    )
 
 
 class _GhostAdjacency:
@@ -1586,7 +1547,6 @@ def run_shard_chain(
     clip: int,
     horizon: int,
     scale: int | None,
-    want_records: bool,
     engine: str,
     config,
     budget_words: int | None = None,
@@ -1650,7 +1610,7 @@ def run_shard_chain(
             offsets, targets,
         )
     shard.guard.begin_round()
-    run = _ShardRound(shard, roots, positions, engine, want_records)
+    run = _ShardRound(shard, roots, positions, engine)
     cache_hits = run.seed_missing(num_shards)
     params = {
         "x": x, "beta": beta, "clip": clip, "horizon": horizon,
@@ -1713,8 +1673,6 @@ def run_shard_chain(
     return {
         "reads": run.reads,
         "writes": run.writes,
-        "records": run.records if want_records else None,
-        "replay_stats": run.replay_stats or None,
         "ejected_games": run.ejected_games,
         "ball_max": int(run.ball_words.max()) if run.ball_words.size else 0,
         "proof_u": proof_u,
@@ -1888,17 +1846,16 @@ class MessageFabric:
         clip: int,
         horizon: int,
         scale: int | None,
-        want_records: bool,
         engine: str = "batched",
         config=None,
         comm: dict | None = None,
         pool=None,
     ) -> list[tuple[np.ndarray, "object"]]:
-        """Play one round's pending games through the shard fabric.
+        """Play one round's games through the shard fabric.
 
         Returns ``(positions, ShardResult)`` pairs exactly like
-        :meth:`repro.ampc.pool.CoinGamePool.run_games` — reads/writes and
-        records ride with the shard owning the *game*, layer folds with
+        :meth:`repro.ampc.pool.CoinGamePool.run_games` — reads/writes
+        ride with the shard owning the *game*, layer folds with
         the shard owning the *vertex* (both scatter through commutative
         accumulators, so the split is invisible).
 
@@ -1931,7 +1888,7 @@ class MessageFabric:
         if pool is not None and len(roots):
             return self._run_round_pooled(
                 pool, offsets, targets, roots, positions, owners, params,
-                want_records, engine, config, comm, shard_words,
+                engine, config, comm, shard_words,
             )
         runs: list[_ShardRound] = []
         for sid, shard in enumerate(self.shards):
@@ -1939,9 +1896,7 @@ class MessageFabric:
             if sel.size:
                 self._send(comm, shard_words, 2 * sel.size, dst=sid)
             runs.append(
-                _ShardRound(
-                    shard, roots[sel], positions[sel], engine, want_records
-                )
+                _ShardRound(shard, roots[sel], positions[sel], engine)
             )
 
         # BSP sub-rounds: exchange missing rows, play, validate, repeat.
@@ -2048,8 +2003,6 @@ class MessageFabric:
                 "roots": run.roots,
                 "reads": run.reads,
                 "writes": run.writes,
-                "records": run.records,
-                "replay_stats": run.replay_stats or None,
                 "ejected_games": run.ejected_games,
                 "ball_max": (
                     int(run.ball_words.max()) if run.ball_words.size else 0
@@ -2058,13 +2011,11 @@ class MessageFabric:
                 "proof_l": proof_l,
                 "proof_c": proof_c,
             })
-        return self._fold_and_results(
-            comm, shard_words, want_records, per_shard
-        )
+        return self._fold_and_results(comm, shard_words, per_shard)
 
     def _run_round_pooled(
         self, pool, offsets, targets, roots, positions, owners, params,
-        want_records, engine, config, comm, shard_words,
+        engine, config, comm, shard_words,
     ) -> list[tuple[np.ndarray, "object"]]:
         """Dispatch each shard's BSP chain to a pool worker, replaying
         its communication for the counters as results stream back.
@@ -2098,9 +2049,8 @@ class MessageFabric:
                 ))
         payload = dict(params)
         payload.update(
-            num_shards=num, want_records=want_records, engine=engine,
-            config=config, budget_words=self.budget_words,
-            ghost_cache_words=self.cache_words,
+            num_shards=num, engine=engine, config=config,
+            budget_words=self.budget_words, ghost_cache_words=self.cache_words,
         )
         shard_res: list[dict | None] = [None] * num
         miss_sizes: list[list[int]] = [[] for __ in range(num)]
@@ -2189,7 +2139,6 @@ class MessageFabric:
                     "positions": pos_by[sid], "roots": roots_by[sid],
                     "reads": np.zeros(0, dtype=np.int64),
                     "writes": np.zeros(0, dtype=np.int64),
-                    "records": [], "replay_stats": None,
                     "ejected_games": 0, "ball_max": 0,
                     "proof_u": _EMPTY, "proof_l": _EMPTY,
                     "proof_c": _EMPTY,
@@ -2198,19 +2147,15 @@ class MessageFabric:
             per_shard.append({
                 "positions": pos_by[sid], "roots": roots_by[sid],
                 "reads": res["reads"], "writes": res["writes"],
-                "records": res["records"] if want_records else [],
-                "replay_stats": res["replay_stats"],
                 "ejected_games": res["ejected_games"],
                 "ball_max": res["ball_max"],
                 "proof_u": res["proof_u"], "proof_l": res["proof_l"],
                 "proof_c": res["proof_c"],
             })
-        return self._fold_and_results(
-            comm, shard_words, want_records, per_shard
-        )
+        return self._fold_and_results(comm, shard_words, per_shard)
 
     def _fold_and_results(
-        self, comm, shard_words, want_records, per_shard,
+        self, comm, shard_words, per_shard
     ) -> list[tuple[np.ndarray, "object"]]:
         """Layer-proposal folds (routed by vertex owner — owners
         min/+-fold and forward one (u, min, count) triple per vertex to
@@ -2271,11 +2216,6 @@ class MessageFabric:
                 comm, shard_words, 3 * len(vertices), src=sid
             )
             result_words = 2 * len(sh["roots"])
-            if want_records:
-                result_words += sum(
-                    2 + len(record[0]) + 2 * len(record[1])
-                    for record in sh["records"]
-                )
             if len(sh["roots"]):
                 self._send(comm, shard_words, result_words, src=sid)
                 comm["result_words"] += result_words
@@ -2285,8 +2225,6 @@ class MessageFabric:
                 sh["positions"],
                 ShardResult(
                     sh["reads"], sh["writes"], vertices, minima, counts,
-                    sh["records"] if want_records else None,
-                    sh["replay_stats"],
                 ),
             ))
             guard = self.shards[sid].guard

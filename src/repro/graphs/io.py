@@ -65,7 +65,13 @@ def read_edge_list(
             parts = body.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{line_no}: expected 'u v', got {body!r}")
-            u, v = int(parts[0]), int(parts[1])
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{line_no}: vertex ids must be integers, "
+                    f"got {body!r}"
+                ) from None
             if u < 0 or v < 0:
                 raise ValueError(f"{path}:{line_no}: negative vertex id")
             if num_vertices is not None and (u >= num_vertices or v >= num_vertices):
@@ -132,10 +138,29 @@ def graph_to_json(graph: Graph) -> str:
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def graph_from_json(document: str) -> Graph:
-    """Inverse of :func:`graph_to_json`."""
+    """Inverse of :func:`graph_to_json`.
+
+    Raises ``ValueError`` unless the document carries an integer
+    ``num_vertices`` and ``edges`` as a list of ``[u, v]`` integer pairs.
+    """
     data = json.loads(document)
-    if data.get("format") != "repro-graph":
+    if not isinstance(data, dict) or data.get("format") != "repro-graph":
         raise ValueError("not a repro-graph document")
-    edges = np.asarray(data["edges"], dtype=np.int64).reshape(-1, 2)
+    if not _is_int(data.get("num_vertices")):
+        raise ValueError("repro-graph document needs an integer num_vertices")
+    rows = data.get("edges")
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == 2
+        and _is_int(row[0]) and _is_int(row[1])
+        for row in rows
+    ):
+        raise ValueError(
+            "repro-graph edges must be a list of [u, v] integer pairs"
+        )
+    edges = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
     return Graph.from_arrays(data["num_vertices"], edges)

@@ -4,17 +4,15 @@ The differential matrices in ``tests/test_parallel_equivalence`` pin the
 engine against the dict oracle end-to-end; these tests aim at the
 engine's own moving parts — the shared-CSR transpose map behind row
 patches, cohort blocking, the coin-scale escape hatch (ejection), the
-huge-β escalation fallback, the batched ``query_all`` port the E1/F2
-sweeps run on, and :class:`~repro.core.columnar_rounds.GameCache`
-behavior under the batched engine (degree-snapshot staleness, replay
-parity, eviction).  All of them exercise the incremental-replay arena
-implicitly (it is on by default); its dedicated cone-invalidation
-coverage lives in ``tests/test_incremental_replay.py``.
+huge-β escalation fallback, and the batched ``query_all`` port the E1/F2
+sweeps run on — plus per-game differentials against the scalar oracle
+on adversarial shapes whose balls overlap heavily, so explored rows
+constantly patch other games' rows mid-run.  One mid-size shape runs in
+the default tier so the lockstep engine is differentially checked on
+every push.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -29,7 +27,6 @@ from repro.core.batched_games import (
 )
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.core.columnar_rounds import (
-    GameCache,
     play_coin_game,
     residual_adjacency_lists,
     run_games_batched_with_fallback,
@@ -38,12 +35,15 @@ from repro.experiments.e1_lca_quality import run_lca_quality
 from repro.experiments.f2_exploration_ablation import run_exploration_ablation
 from repro.graphs.generators import (
     complete_ary_tree,
+    cycle_graph,
+    grid_2d,
     path_graph,
     preferential_attachment,
     random_gnm,
     star_graph,
     union_of_random_forests,
 )
+from repro.graphs.graph import Graph
 from repro.lca.coin_game import fixed_coin_scale, max_provable_layer
 from repro.lca.partial_partition_lca import PartialPartitionLCA
 
@@ -61,7 +61,7 @@ def _assert_same_outcome(a, b):
             assert getattr(ra, field) == getattr(rb, field), field
 
 
-def _play_both_engines(graph, beta, x, want_records=False):
+def _play_both_engines(graph, beta, x):
     """One full-fleet run per engine; returns (batched, scalar) outputs.
 
     The batched side goes through the kernel's fallback wrapper, so
@@ -77,10 +77,9 @@ def _play_both_engines(graph, beta, x, want_records=False):
 
     out_layer = np.full(n, _INF)
     out_count = np.zeros(n, dtype=np.int64)
-    reads, writes, records = run_games_batched_with_fallback(
+    reads, writes = run_games_batched_with_fallback(
         offsets, targets, roots, x=x, beta=beta, clip=clip, horizon=horizon,
         scale=scale, out_layer=out_layer, out_count=out_count,
-        want_records=want_records,
     )
 
     adj = residual_adjacency_lists(offsets, targets)
@@ -88,17 +87,53 @@ def _play_both_engines(graph, beta, x, want_records=False):
     ref_count = [0] * n
     ref_reads = np.zeros(n, dtype=np.int64)
     ref_writes = np.zeros(n, dtype=np.int64)
-    ref_records = []
     for v in range(n):
-        ref_reads[v], ref_writes[v], record = play_coin_game(
-            adj, v, x, beta, clip, horizon, scale,
-            ref_layer, ref_count, want_records,
+        ref_reads[v], ref_writes[v], __ = play_coin_game(
+            adj, v, x, beta, clip, horizon, scale, ref_layer, ref_count,
         )
-        ref_records.append(record)
     return (
-        (reads, writes, records, out_layer, out_count),
-        (ref_reads, ref_writes, ref_records, ref_layer, ref_count),
+        (reads, writes, out_layer, out_count),
+        (ref_reads, ref_writes, ref_layer, ref_count),
     )
+
+
+def _engine_vs_scalar(graph: Graph, beta: int, x: int) -> None:
+    """Full-fleet lockstep run vs the scalar oracle, game by game."""
+    offsets, targets = graph.csr()
+    n = graph.num_vertices
+    clip = max_provable_layer(x, beta)
+    horizon = 4 * (clip + 2)
+    scale = fixed_coin_scale(beta, horizon)
+    roots = np.arange(n, dtype=np.int64)
+    out_layer = np.full(n, _INF)
+    out_count = np.zeros(n, dtype=np.int64)
+    info = play_games_batched(
+        offsets, targets, roots, x=x, beta=beta, clip=clip, horizon=horizon,
+        scale=scale, out_layer=out_layer, out_count=out_count,
+        want_records=True,
+    )
+    adj = residual_adjacency_lists(offsets, targets)
+    ejected = set(info.ejected.tolist())
+    ref_layer = [_INF] * n
+    ref_count = [0] * n
+    for v in range(n):
+        rl = ref_layer if v not in ejected else [_INF] * n
+        rc = ref_count if v not in ejected else [0] * n
+        reads, writes, record = play_coin_game(
+            adj, v, x, beta, clip, horizon, scale, rl, rc, True,
+        )
+        if v in ejected:
+            continue  # the fallback wrapper replays these scalar-side
+        assert reads == info.reads[v], f"reads diverge at root {v}"
+        assert writes == info.writes[v], f"writes diverge at root {v}"
+        assert record[0] == info.records[v][0], f"S_v diverges at root {v}"
+        assert sorted(record[1]) == sorted(info.records[v][1])
+        assert record[2:] == info.records[v][2:]  # (reads, writes)
+    if not ejected:
+        # Ejected games zero their engine-side fold (the fallback wrapper
+        # replays them scalar), so the raw fold compares only when none.
+        assert np.array_equal(out_layer, np.array(ref_layer))
+        assert np.array_equal(out_count, np.asarray(ref_count))
 
 
 class TestEngineAgainstScalar:
@@ -110,24 +145,17 @@ class TestEngineAgainstScalar:
     ])
     def test_reads_writes_folds_and_records_match(self, maker, beta, x):
         graph = maker()
-        got, ref = _play_both_engines(graph, beta, x, want_records=True)
-        reads, writes, records, out_layer, out_count = got
-        ref_reads, ref_writes, ref_records, ref_layer, ref_count = ref
-        assert np.array_equal(reads, ref_reads)
-        assert np.array_equal(writes, ref_writes)
-        assert np.array_equal(out_layer, np.array(ref_layer))
-        assert np.array_equal(out_count, np.asarray(ref_count))
-        for got_rec, want_rec in zip(records, ref_records):
-            assert got_rec[0] == want_rec[0]  # explored, exploration order
-            assert sorted(got_rec[1]) == sorted(want_rec[1])  # clipped proof
-            assert got_rec[2:] == want_rec[2:]  # (reads, writes)
+        got, ref = _play_both_engines(graph, beta, x)
+        for mine, theirs in zip(got, ref):  # reads, writes, layer/count folds
+            assert np.array_equal(mine, np.asarray(theirs))
+        _engine_vs_scalar(graph, beta, x)  # per-game records
 
     def test_isolated_and_tiny_games(self):
         # Star center has deg > β+1 (σ-ranked F); leaves have deg 1.
         graph = star_graph(12)
         got, ref = _play_both_engines(graph, 1, 4)
         assert np.array_equal(got[0], ref[0])
-        assert np.array_equal(got[4], np.asarray(ref[4]))
+        assert np.array_equal(got[3], np.asarray(ref[3]))
 
     def test_empty_batch(self):
         offsets = np.array([0, 1, 2], dtype=np.int64)
@@ -185,6 +213,34 @@ class TestEscapeHatch:
         hatch = beta_partition_ampc(graph, 6, store="columnar")
         assert sum(ejected_counts) > 0, "budget never forced an ejection"
         _assert_same_outcome(oracle, hatch)
+
+    def test_ejected_games_mixed_with_lockstep_games(self, monkeypatch):
+        # A small word budget forces mid-run bigint ejections while other
+        # games keep playing in lockstep: an ejected game drops out of
+        # the arena and replays scalar-side, and the fold must not
+        # notice.
+        g = preferential_attachment(300, 2, seed=11)
+        oracle = beta_partition_ampc(g, 6, store="dict")
+        monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
+        hatch = beta_partition_ampc(g, 6, store="columnar")
+        _assert_same_outcome(oracle, hatch)
+
+    def test_multi_round_ejection_matches_oracle(self, monkeypatch):
+        # Multi-round instance under a tiny word budget: every round
+        # mixes lockstep games with scalar escape-hatch replays.
+        beta = 3
+        g = union_of_random_forests(220, 2, seed=21)
+        oracle = beta_partition_ampc(g, beta, x=beta + 1, store="dict")
+        monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 22)
+        batched = beta_partition_ampc(
+            g, beta, x=beta + 1, store="columnar", engine="batched"
+        )
+        assert batched.rounds >= 2
+        _assert_same_outcome(oracle, batched)
+        scalar = beta_partition_ampc(
+            g, beta, x=beta + 1, store="columnar", engine="scalar"
+        )
+        _assert_same_outcome(oracle, scalar)
 
     def test_no_scaled_representation_at_all(self):
         # x so large that not even scale 1 fits the budget: every game
@@ -294,40 +350,32 @@ class TestQueryAllPort:
         assert batched == scalar
 
 
-class TestGameCacheUnderBatchedEngine:
-    def test_degree_snapshot_staleness_drops_record(self):
-        cache = GameCache()
-        cache.store(7, ([7, 8, 9], [(7, 0), (8, 1)], 5, 2))
-        cache.advance([0, 0, 0, 0, 0, 0, 0, 2, 2, 1])
-        alive = [True] * 10
-        # Same degrees: replayable.
-        assert cache.lookup(7, alive, [0, 0, 0, 0, 0, 0, 0, 2, 2, 1])
-        # A member's residual degree changed: stale, dropped on sight.
-        cache.store(7, ([7, 8, 9], [(7, 0), (8, 1)], 5, 2))
-        assert cache.lookup(7, alive, [0, 0, 0, 0, 0, 0, 0, 2, 1, 1]) is None
-        assert len(cache) == 0
+class TestTier1Differential:
+    def test_mid_size_gnm_shape(self):
+        # The every-push differential shape: multi-wave games whose
+        # balls overlap heavily, so explored rows constantly patch rows
+        # of other games' arenas.  Full outcome against the dict oracle.
+        g = random_gnm(1500, 3000, seed=42)
+        oracle = beta_partition_ampc(g, 9, store="dict")
+        batched = beta_partition_ampc(g, 9, store="columnar", engine="batched")
+        _assert_same_outcome(oracle, batched)
 
-    def test_dead_member_invalidates(self):
-        cache = GameCache()
-        cache.store(3, ([3, 4], [(3, 0)], 3, 1))
-        cache.advance([0, 0, 0, 1, 1])
-        alive = [True, True, True, True, False]  # member 4 was assigned
-        assert cache.lookup(3, alive, [0, 0, 0, 1, 1]) is None
-        assert len(cache) == 0
+    def test_mid_size_gnm_sharded_fabric(self):
+        # The same shape with the batched engine behind the message
+        # fabric: held-row commit checks on multi-wave overlapping balls.
+        g = random_gnm(1500, 3000, seed=42)
+        oracle = beta_partition_ampc(g, 9, store="dict")
+        sharded = beta_partition_ampc(
+            g, 9, store="columnar", engine="batched", transport="message",
+            shards=3,
+        )
+        _assert_same_outcome(oracle, sharded)
 
-    def test_eviction_after_residual_shrink(self):
-        cache = GameCache()
-        for root in range(5):
-            cache.store(root, ([root], [(root, 0)], 1, 1))
-        cache.evict([1, 3])
-        assert len(cache) == 3
-        cache.advance([0] * 5)
-        assert cache.lookup(1, [True] * 5, [0] * 5) is None  # evicted
-        assert cache.lookup(0, [True] * 5, [0] * 5) is not None
 
-    def test_cache_hit_replay_parity_matches_oracle(self):
+class TestMultiRoundUnderBatchedEngine:
+    def test_path_engines_match_oracle(self):
         # β = 1, x = 2 strips two layers off each end of a path per
-        # round; interior games replay their cached fixed point.
+        # round: both engines agree with the oracle on every round.
         g = path_graph(40)
         oracle = beta_partition_ampc(g, 1, x=2, store="dict")
         batched = beta_partition_ampc(
@@ -337,15 +385,12 @@ class TestGameCacheUnderBatchedEngine:
             g, 1, x=2, store="columnar", engine="scalar"
         )
         assert batched.rounds >= 3
-        assert batched.game_cache_hits > 0
-        # Cache decisions are a pure function of records and degree
-        # snapshots, which both engines must produce identically.
-        assert batched.game_cache_hits == scalar.game_cache_hits
         _assert_same_outcome(oracle, batched)
+        _assert_same_outcome(oracle, scalar)
 
-    def test_cross_round_invalidation_on_deep_tree(self):
-        # Multi-round instance: residual shrink + frontier degree drift
-        # invalidate some records while untouched subtrees replay.
+    def test_deep_tree_multi_round_matches_oracle(self):
+        # Multi-round instance: the residual shrinks and frontier degrees
+        # drift between rounds while untouched subtrees stay the same.
         beta = 3
         g = complete_ary_tree(beta + 1, 4)
         oracle = beta_partition_ampc(g, beta, x=beta + 1, store="dict")
@@ -355,16 +400,35 @@ class TestGameCacheUnderBatchedEngine:
         assert batched.rounds >= 2
         _assert_same_outcome(oracle, batched)
 
-    def test_cache_parity_with_pool_and_batched_engine(self):
+    def test_pooled_batched_path_matches_oracle(self):
         g = path_graph(40)
         oracle = beta_partition_ampc(g, 1, x=2, store="dict")
         pooled = beta_partition_ampc(
             g, 1, x=2, store="columnar", engine="batched", workers=2,
             min_pool_games=1,
         )
-        assert pooled.game_cache_hits > 0
         _assert_same_outcome(oracle, pooled)
         close_shared_pools()
+
+
+class TestAdversarialShapes:
+    @pytest.mark.parametrize("maker,beta,x", [
+        # Overlapping-ball shapes: every explore wave patches rows deep
+        # inside other games' explored sets.
+        (lambda: grid_2d(14, 14), 3, 16),
+        (lambda: cycle_graph(160), 1, 4),
+        (lambda: random_gnm(220, 440, seed=77), 4, 25),
+        (lambda: union_of_random_forests(200, 2, seed=13), 6, 49),
+        # Hubs: σ-ranked forwarding sets in play.
+        (lambda: preferential_attachment(200, 2, seed=9), 6, 49),
+    ])
+    def test_randomized_adversarial_shapes(self, maker, beta, x):
+        _engine_vs_scalar(maker(), beta, x)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+    def test_randomized_gnm_sweep(self, seed):
+        g = random_gnm(150, 300, seed=seed)
+        _engine_vs_scalar(g, 9, 100)
 
 
 @pytest.fixture(autouse=True)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import native
 from repro.core.beta_partition_ampc import (
     beta_partition_ampc,
     default_game_budget,
@@ -255,3 +256,19 @@ class TestStrictSpace:
         stats = out.simulator.stats
         assert stats.max_machine_communication > 0
         assert isinstance(stats.within_budget, bool)
+
+
+class TestPhases:
+    @pytest.mark.parametrize("engine,keys", [
+        ("batched", {"explore", "forward", "fold"}),
+        ("compiled", {"native", "fold"}),
+    ])
+    def test_phase_keys_per_engine(self, engine, keys):
+        if engine == "compiled" and not native.available():
+            pytest.skip("compiled kernel unavailable")
+        phases: dict = {}
+        g = random_gnm(200, 400, seed=3)
+        out = beta_partition_ampc(g, 9, engine=engine, phases=phases)
+        assert out.engine == engine
+        assert set(phases) == keys
+        assert all(t >= 0.0 for t in phases.values())

@@ -16,7 +16,7 @@ import pytest
 
 from repro.ampc import messaging, pool
 from repro.ampc.engine_config import EngineConfig
-from repro.core import batched_games, columnar_rounds
+from repro.core import columnar_rounds
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.graphs.generators import random_gnm, union_of_random_forests
 
@@ -27,8 +27,6 @@ class TestFromEnv:
         assert cfg.cohort_games == columnar_rounds.COHORT_GAMES
         assert cfg.min_pool_games == pool.MIN_POOL_GAMES
         assert cfg.min_pool_games_batched == pool.MIN_POOL_GAMES_BATCHED
-        assert cfg.replay_cone_cutoff == batched_games.REPLAY_CONE_CUTOFF
-        assert cfg.replay_poor_streak == batched_games.REPLAY_POOR_STREAK
         assert cfg.message_cap_words == messaging.MESSAGE_CAP_WORDS
         assert cfg.shard_budget_words is None
         assert cfg.ghost_cache_words == messaging.GHOST_CACHE_WORDS
@@ -43,8 +41,6 @@ class TestFromEnv:
             "REPRO_COHORT_GAMES": "128",
             "REPRO_MIN_POOL_GAMES": "7",
             "REPRO_MIN_POOL_GAMES_BATCHED": "99",
-            "REPRO_REPLAY_CONE_CUTOFF": "0.5",
-            "REPRO_REPLAY_POOR_STREAK": "3",
             "REPRO_MESSAGE_CAP_WORDS": "4096",
             "REPRO_SHARD_BUDGET_WORDS": "123456",
             "REPRO_GHOST_CACHE_WORDS": "4096",
@@ -57,8 +53,6 @@ class TestFromEnv:
         assert cfg.cohort_games == 128
         assert cfg.min_pool_games == 7
         assert cfg.min_pool_games_batched == 99
-        assert cfg.replay_cone_cutoff == 0.5
-        assert cfg.replay_poor_streak == 3
         assert cfg.message_cap_words == 4096
         assert cfg.shard_budget_words == 123456
         assert cfg.ghost_cache_words == 4096
@@ -94,7 +88,6 @@ class TestFromEnv:
         "REPRO_COHORT_GAMES",
         "REPRO_MIN_POOL_GAMES",
         "REPRO_MIN_POOL_GAMES_BATCHED",
-        "REPRO_REPLAY_POOR_STREAK",
         "REPRO_MESSAGE_CAP_WORDS",
         "REPRO_SHARD_BUDGET_WORDS",
     ])
@@ -108,20 +101,12 @@ class TestFromEnv:
             assert raw in str(err.value)
 
     @pytest.mark.parametrize("name", [
-        "REPRO_COHORT_GAMES", "REPRO_REPLAY_CONE_CUTOFF", "REPRO_ENGINE",
+        "REPRO_COHORT_GAMES", "REPRO_RETRY_BACKOFF_S", "REPRO_ENGINE",
     ])
     def test_non_numeric_overrides_name_the_variable(self, name):
         with pytest.raises(ValueError, match=name) as err:
             EngineConfig.from_env(env={name: "banana"})
         assert "banana" in str(err.value)
-
-    def test_cone_cutoff_range_enforced(self):
-        with pytest.raises(ValueError, match="REPRO_REPLAY_CONE_CUTOFF"):
-            EngineConfig.from_env(env={"REPRO_REPLAY_CONE_CUTOFF": "1.5"})
-        with pytest.raises(ValueError, match="REPRO_REPLAY_CONE_CUTOFF"):
-            EngineConfig.from_env(env={"REPRO_REPLAY_CONE_CUTOFF": "-0.1"})
-        cfg = EngineConfig.from_env(env={"REPRO_REPLAY_CONE_CUTOFF": "0.0"})
-        assert cfg.replay_cone_cutoff == 0.0
 
     def test_message_cap_floor_matches_fabric(self):
         # The fabric rejects cap_words < 4 (one row header); the env
@@ -176,10 +161,10 @@ class TestFromEnv:
         # Defaults are read at call time, so tests that pin a module
         # constant see their pin honored by from_env().
         monkeypatch.setattr(columnar_rounds, "COHORT_GAMES", 77)
-        monkeypatch.setattr(batched_games, "REPLAY_CONE_CUTOFF", 0.9)
+        monkeypatch.setattr(pool, "MIN_POOL_GAMES", 9)
         cfg = EngineConfig.from_env(env={})
         assert cfg.cohort_games == 77
-        assert cfg.replay_cone_cutoff == 0.9
+        assert cfg.min_pool_games == 9
 
     def test_frozen_and_with_overrides(self):
         cfg = EngineConfig.from_env(env={})
@@ -209,15 +194,13 @@ class TestThreading:
         )
 
     def test_knobs_do_not_change_observables(self):
-        # A deliberately odd cohort size and replay gate must be
-        # invisible: bit-identical partitions and per-round stats.
+        # A deliberately odd cohort size must be invisible:
+        # bit-identical partitions and per-round stats.
         g = random_gnm(80, 160, seed=5)
         base = beta_partition_ampc(g, 5, store="columnar")
         tuned = beta_partition_ampc(
             g, 5, store="columnar",
-            config=EngineConfig.from_env().with_overrides(
-                cohort_games=3, replay_cone_cutoff=0.01, replay_poor_streak=1
-            ),
+            config=EngineConfig.from_env().with_overrides(cohort_games=3),
         )
         assert tuned.partition.layers == base.partition.layers
         for ra, rb in zip(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -78,6 +80,13 @@ class TestEdgeList:
         path = tmp_path / "g.txt"
         path.write_text("-1 2\n")
         with pytest.raises(ValueError):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("bad", ["1 x", "1.5 2", "0x1 2"])
+    def test_non_integer_token_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "g.txt"
+        path.write_text(f"0 1\n{bad}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2:")):
             read_edge_list(path)
 
 
@@ -180,3 +189,26 @@ class TestJson:
     def test_wrong_format_rejected(self):
         with pytest.raises(ValueError):
             graph_from_json('{"format": "other"}')
+
+    @pytest.mark.parametrize("edges", [
+        [[0, 1, 2], [0, 2, 1]],  # rows of three ids
+        [0, 1, 1, 2],  # a flat list of ids
+        [[0]],
+        [[0, 1.5]],
+        [[0, True]],
+        "0 1",
+    ])
+    def test_edges_must_be_integer_pairs(self, edges):
+        doc = json.dumps(
+            {"format": "repro-graph", "num_vertices": 3, "edges": edges}
+        )
+        with pytest.raises(ValueError, match="pairs"):
+            graph_from_json(doc)
+
+    @pytest.mark.parametrize("extra", [{}, {"num_vertices": "3"}])
+    def test_num_vertices_required(self, extra):
+        doc = json.dumps(
+            {"format": "repro-graph", "edges": [[0, 1]], **extra}
+        )
+        with pytest.raises(ValueError, match="num_vertices"):
+            graph_from_json(doc)

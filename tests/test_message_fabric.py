@@ -357,15 +357,27 @@ class TestFabricSurface:
         assert msgs(tiny) > msgs(big)
         assert words(tiny) == words(big)  # cap re-segments, never re-words
 
-    def test_game_cache_rides_the_fabric(self):
-        # Cross-round memoization stays driver-side: cached games never
-        # enter the fabric, the rest still match the oracle bit for bit.
+    def test_multi_round_path_rides_the_fabric(self):
+        # β = 1, x = 2 strips two layers off each end of a path per
+        # round: every round's games go through the fabric and still
+        # match the oracle bit for bit.
         g = path_graph(40)
         oracle = beta_partition_ampc(g, 1, x=2, store="dict")
         msg = beta_partition_ampc(
             g, 1, x=2, store="columnar", transport="message", shards=2
         )
-        assert msg.game_cache_hits > 0
+        assert msg.rounds >= 3
+        _assert_equivalent(oracle, msg)
+
+    def test_shard_whose_proofs_are_all_clipped(self):
+        # Four shards on a short path leave one shard whose committed
+        # games all proved nothing (every proof entry clipped): its
+        # layer-proposal fold must be empty, not a crash.
+        g = path_graph(40)
+        oracle = beta_partition_ampc(g, 1, x=2, store="dict")
+        msg = beta_partition_ampc(
+            g, 1, x=2, store="columnar", transport="message", shards=4
+        )
         _assert_equivalent(oracle, msg)
 
     def test_fabric_run_round_requires_config_default(self):

@@ -3,8 +3,8 @@
 ``beta_partition_ampc`` exposes four execution knobs — ``store``
 (columnar kernels vs the dict-backed oracle), ``engine`` (lockstep
 batched game kernels vs the per-game scalar interpreter), ``workers``
-(process-pool machine sharding), and, implicitly, the cross-round game
-cache and the scaled-integer coin fast path.  None of them may change a
+(process-pool machine sharding), and, implicitly, the scaled-integer
+coin fast path.  None of them may change a
 single observable: partitions, layer values, round counts, per-round
 statistics (probe/write totals and maxima), and per-store word
 accounting must be bit-identical to the serial dict oracle for every
@@ -21,10 +21,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ampc.pool import (
+    _SHARED_POOLS,
+    CoinGamePool,
+    close_shared_pools,
+    min_pool_games_for,
+)
 from repro.core import native
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.graphs.generators import (
@@ -34,7 +41,11 @@ from repro.graphs.generators import (
     random_gnm,
     union_of_random_forests,
 )
-from repro.lca.coin_game import CoinDroppingGame
+from repro.lca.coin_game import (
+    CoinDroppingGame,
+    fixed_coin_scale,
+    max_provable_layer,
+)
 from repro.lca.oracle import GraphOracle
 
 WORKER_MATRIX = (1, 2, 4)
@@ -117,7 +128,7 @@ class TestDifferentialMatrix:
 
     def test_multi_round_deep_tree(self):
         # x = β+1 certifies one layer per round: several residuals, so the
-        # matrix also covers re-encoding, eviction, and cache staleness.
+        # matrix also covers re-encoding and fabric retirement.
         beta = 3
         g = complete_ary_tree(beta + 1, 4)
         oracle = _run_matrix(g, beta, x=beta + 1)
@@ -245,34 +256,87 @@ class TestSeedDeterminism:
         assert len(blobs) == 1
 
 
-class TestGameCache:
-    def test_cache_hits_on_untouched_regions(self):
-        # β = 1, x = 2 strips two layers off each end of a path per round;
-        # interior vertices far from both frontiers replay their cached
-        # fixed point until the frontier reaches them.
+class TestMultiRoundDifferential:
+    # β = 1, x = 2 strips two layers off each end of a path per round, so
+    # most machines replay an unchanged ball round after round: every
+    # store, pool and fabric must still match the dict oracle.
+
+    def test_path_columnar_matches_oracle(self):
         g = path_graph(40)
-        columnar = beta_partition_ampc(g, 1, x=2, store="columnar")
         oracle = beta_partition_ampc(g, 1, x=2, store="dict")
+        columnar = beta_partition_ampc(g, 1, x=2, store="columnar")
         assert columnar.rounds >= 3
-        assert columnar.game_cache_hits > 0
         _assert_outcomes_equivalent(oracle, columnar)
 
-    def test_cache_hits_with_pool_match_too(self):
+    def test_path_pooled_matches_oracle(self):
         g = path_graph(40)
         oracle = beta_partition_ampc(g, 1, x=2, store="dict")
-        pooled = beta_partition_ampc(g, 1, x=2, store="columnar", workers=2)
-        assert pooled.game_cache_hits > 0
-        _assert_outcomes_equivalent(oracle, pooled)
-
-    def test_cache_hits_with_message_fabric_match_too(self):
-        g = path_graph(40)
-        oracle = beta_partition_ampc(g, 1, x=2, store="dict")
-        sharded = beta_partition_ampc(
-            g, 1, x=2, store="columnar", transport="message", shards=3
+        pooled = beta_partition_ampc(
+            g, 1, x=2, store="columnar", engine="scalar", workers=2,
+            min_pool_games=1,
         )
-        assert sharded.game_cache_hits > 0
-        _assert_outcomes_equivalent(oracle, sharded)
+        _assert_outcomes_equivalent(oracle, pooled)
+        close_shared_pools()
 
-    def test_dict_oracle_reports_no_cache(self):
-        g = path_graph(12)
-        assert beta_partition_ampc(g, 1, x=2, store="dict").game_cache_hits == 0
+    def test_path_sharded_matches_oracle(self):
+        g = path_graph(40)
+        oracle = beta_partition_ampc(g, 1, x=2, store="dict")
+        for shards in (3, 4):
+            sharded = beta_partition_ampc(
+                g, 1, x=2, store="columnar", transport="message",
+                shards=shards,
+            )
+            _assert_outcomes_equivalent(oracle, sharded)
+
+
+class TestPoolDispatch:
+    def test_engine_aware_threshold(self):
+        assert min_pool_games_for("batched") > min_pool_games_for("scalar")
+
+    def test_batched_rounds_below_cutoff_stay_serial(self):
+        # 600 pending games: above the scalar cutoff (256) but below the
+        # batched one (2048) — the pool must never fork under the
+        # batched engine, and must fork under the scalar engine.
+        close_shared_pools()
+        g = random_gnm(600, 1200, seed=2)
+        beta_partition_ampc(g, 9, store="columnar", workers=2, engine="batched")
+        pool = _SHARED_POOLS.get(2)
+        assert pool is not None and pool._executor is None
+        beta_partition_ampc(g, 9, store="columnar", workers=2, engine="scalar")
+        assert _SHARED_POOLS[2]._executor is not None
+        close_shared_pools()
+
+    def test_cohort_granular_shards(self):
+        # Shard boundaries must fall on cohort multiples when the fleet
+        # spans enough cohorts, so workers run whole cache-sized cohorts.
+        g = random_gnm(64, 128, seed=4)
+        offsets, targets = g.csr()
+        clip = max_provable_layer(16, 3)
+        horizon = 4 * (clip + 2)
+        scale = fixed_coin_scale(3, horizon)
+        roots = np.arange(40, dtype=np.int64)
+        with CoinGamePool(2) as pool:
+            shards = pool.run_games(
+                offsets, targets, roots, roots,
+                x=16, beta=3, clip=clip, horizon=horizon, scale=scale,
+                engine="batched", cohort_games=8,
+            )
+            sizes = sorted(len(p) for p, __ in shards)
+            assert sizes == [8, 8, 8, 8, 8]
+            # Too few cohorts for the fleet: rebalances instead.
+            shards = pool.run_games(
+                offsets, targets, roots[:12], roots[:12],
+                x=16, beta=3, clip=clip, horizon=horizon, scale=scale,
+                engine="batched", cohort_games=8,
+            )
+            assert sum(len(p) for p, __ in shards) == 12
+
+    def test_pooled_batched_matches_serial(self):
+        close_shared_pools()
+        g = random_gnm(400, 800, seed=6)
+        pooled = beta_partition_ampc(
+            g, 9, store="columnar", workers=2, min_pool_games=1
+        )
+        serial = beta_partition_ampc(g, 9, store="columnar", workers=1)
+        assert pooled.partition.layers == serial.partition.layers
+        close_shared_pools()
